@@ -129,3 +129,32 @@ func BenchmarkSortPairs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExtractSorted measures sorted extraction from a filled table:
+// dense rows (key span about 2n) take the bitmap-rank path, sparse rows
+// (span far above n) fall back to sortPairs. Compare with BenchmarkSortPairs.
+func BenchmarkExtractSorted(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		span func(n int) int64
+	}{
+		{"dense", func(n int) int64 { return 2 * int64(n) }},
+		{"sparse", func(int) int64 { return 1 << 30 }},
+	} {
+		for _, n := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(99))
+				h := NewHashTable(int64(n))
+				for _, k := range distinctKeys(rng, n, 0, shape.span(n)) {
+					plusAcc(h, k, 1)
+				}
+				cols := make([]int32, n)
+				vals := make([]float64, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					h.ExtractSorted(cols, vals)
+				}
+			})
+		}
+	}
+}

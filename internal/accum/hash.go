@@ -18,7 +18,8 @@
 package accum
 
 import (
-	"slices"
+	"math"
+	"math/bits"
 
 	"repro/internal/semiring"
 )
@@ -59,6 +60,12 @@ type HashTableG[V semiring.Value] struct {
 	// SpGEMM presizes tables from the flop upper bound and never grows;
 	// the two-level (Kokkos-style) accumulator uses a growing second level.
 	grow bool
+	// rank and order are ExtractSorted's scratch for rows dense in their
+	// key span: interleaved bitmap words and prefix counts, and the slot
+	// permutation. The bitmap words are zero between rows; both slices
+	// grow on first need.
+	rank  []uint64
+	order []int32
 }
 
 // HashTable is the float64 instantiation — the historic type of this package.
@@ -296,35 +303,103 @@ func (h *HashTableG[V]) ExtractUnsorted(cols []int32, vals []V) int {
 	return n
 }
 
+// ExtractSorted's density cutoff: a row of at least rankMinKeys keys whose
+// key span (max-min) is under rankSpanPerKey × its length is ranked through
+// a bitmap; every other row is sorted. At the cutoff the bitmap holds one
+// word per key, so ranking stays O(n) while sorting costs O(n log n)
+// comparisons. Both are measured crossovers of rank against sort over row
+// lengths and spans; below rankMinKeys insertion sort is as fast.
+const (
+	rankMinKeys    = 32
+	rankSpanPerKey = 64
+)
+
 // ExtractSorted writes the (key, value) pairs in increasing key order — the
 // sorting step the paper shows algorithms can skip when unsorted output is
 // acceptable.
 //
-//spgemm:hotpath
-func (h *HashTableG[V]) ExtractSorted(cols []int32, vals []V) int {
-	n := h.ExtractUnsorted(cols, vals)
-	sortPairs(cols[:n], vals[:n])
-	return n
-}
-
-// ExtractKeysSorted writes just the keys, sorted; used by symbolic-phase
-// consumers that want patterns.
+// Rows dense within their key span skip the comparison sort: one bit per key
+// in a bitmap over [min, max], a prefix popcount per word, and each entry's
+// rank is its word's prefix plus the popcount of the lower bits. Keys are
+// distinct, so the result is the permutation a sort would give.
 //
 //spgemm:hotpath
-func (h *HashTableG[V]) ExtractKeysSorted(cols []int32) int {
+func (h *HashTableG[V]) ExtractSorted(cols []int32, vals []V) int {
 	used := h.used
 	n := len(used)
 	cols = cols[:n]
-	keys := h.keys
-	mask := len(keys) - 1
-	if mask < 0 {
+	vals = vals[:n]
+	// The value table always matches keys in length; masking each by its
+	// own length keeps every keys[j] and tvals[j] provably in bounds.
+	keys, tvals := h.keys, h.vals
+	mask, vmask := len(keys)-1, len(tvals)-1
+	if mask < 0 || vmask < 0 || n == 0 {
 		return 0
 	}
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for i, s := range used {
-		cols[i] = keys[int(s)&mask]
+		k := keys[int(s)&mask]
+		cols[i] = k
+		lo = min(lo, k)
+		hi = max(hi, k)
 	}
-	slices.Sort(cols)
+	span := int64(hi) - int64(lo)
+	if n < rankMinKeys || span >= rankSpanPerKey*int64(n) {
+		for i, s := range used {
+			vals[i] = tvals[int(s)&vmask]
+		}
+		sortPairs(cols, vals)
+		return n
+	}
+	words := int(span>>6) + 1
+	if 2*words > len(h.rank) || n > len(h.order) {
+		h.growRank(words, n)
+	}
+	// rank interleaves each bitmap word (even index) with the count of
+	// keys in the words before it (odd index); both lengths are powers of
+	// two, so the masked indices below need no bounds checks.
+	rank, order := h.rank, h.order
+	rmask, omask := len(rank)-1, len(order)-1
+	if rmask < 0 || omask < 0 {
+		return 0 // unreachable: growRank sized both
+	}
+	for _, k := range cols {
+		d := uint32(k - lo)
+		rank[int(d>>5&^1)&rmask] |= 1 << (d & 63)
+	}
+	var run uint64
+	for w := 0; w < 2*words; w += 2 {
+		rank[(w+1)&rmask] = run
+		run += uint64(bits.OnesCount64(rank[w&rmask]))
+	}
+	for i, s := range used {
+		d := uint32(cols[i] - lo)
+		w := int(d>>5&^1) & rmask
+		below := rank[w] & (1<<(d&63) - 1)
+		pos := int(rank[(w+1)&rmask]) + bits.OnesCount64(below)
+		order[pos&omask] = s
+	}
+	for w := 0; w < 2*words; w += 2 {
+		rank[w&rmask] = 0
+	}
+	for i := range used {
+		j := int(order[i&omask])
+		cols[i] = keys[j&mask]
+		vals[i] = tvals[j&vmask]
+	}
 	return n
+}
+
+// growRank is ExtractSorted's cold path: size the bitmap/rank pairs for at
+// least words words and the slot permutation for at least n entries, both
+// to powers of two so the hot loops can mask their indices.
+func (h *HashTableG[V]) growRank(words, n int) {
+	if r := int(NextPow2(int64(2*words - 1))); r > len(h.rank) {
+		h.rank = make([]uint64, r)
+	}
+	if o := int(NextPow2(int64(n - 1))); o > len(h.order) {
+		h.order = make([]int32, o)
+	}
 }
 
 // sortPairs sorts cols ascending carrying vals along: insertion sort for

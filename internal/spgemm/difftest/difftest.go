@@ -145,7 +145,28 @@ func Cases(rng *rand.Rand) []Case {
 	// Sparse rectangular with interleaved empty rows.
 	cases = append(cases, Case{Name: "ragged-rect", A: randomCSR(rng, 31, 17, 40), B: randomCSR(rng, 17, 23, 30)})
 
+	// Banded: every output row is dense within its column span and long
+	// enough for the hash table's bitmap-rank sorted extraction.
+	band := bandedCSR(96, 10)
+	cases = append(cases,
+		Case{Name: "banded-squared", A: band, B: band},
+		Case{Name: "banded-unsortedB", A: band, B: gen.Unsorted(band, rng)},
+	)
+
 	return cases
+}
+
+// bandedCSR builds an n×n band with entries in columns [i-hw, i+hw] of row
+// i and deterministic small-integer values, so row i of its square holds
+// every column of [i-2hw, i+2hw].
+func bandedCSR(n, hw int) *matrix.CSR {
+	coo := matrix.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-hw); j <= min(n-1, i+hw); j++ {
+			coo.Append(int32(i), int32(j), float64((i*7+j*3)%5+1))
+		}
+	}
+	return coo.ToCSR()
 }
 
 // randomCSR builds a rows×cols matrix with about nnz uniform entries

@@ -109,10 +109,11 @@ func shardedRecommended[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 	return float64(totalFlop)/cr*per >= float64(limit)
 }
 
-// recommendTable4 is the unconstrained Table 4 lookup.
+// recommendTable4 is the unconstrained Table 4 lookup. The compression
+// ratio costs a sampled symbolic phase, so only the cells that read it
+// (LxU and uniform AxA) estimate it.
 func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
 	ef := a.AvgRowNNZ()
-	cr := EstimateCompressionRatio(a, b, 1000)
 	skewed := IsSkewed(a)
 
 	switch uc {
@@ -127,7 +128,7 @@ func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc Use
 		// Table 4(a): LxU sorted — Heap at low compression ratio, Hash at
 		// high. The paper only tabulates the sorted case; for unsorted
 		// requests Hash applies (Heap cannot skip sorting anyway).
-		if sorted && cr <= 2 {
+		if sorted && EstimateCompressionRatio(a, b, 1000) <= 2 {
 			return AlgHeap
 		}
 		return AlgHash
@@ -150,6 +151,7 @@ func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc Use
 			return AlgHashVec
 		}
 		// Uniform/real data: Table 4(a) by compression ratio.
+		cr := EstimateCompressionRatio(a, b, 1000)
 		if !sorted && cr > 2 {
 			return AlgMKLInspector
 		}
